@@ -51,6 +51,9 @@ const (
 	AccessReadNew AccessOp = core.AccessReadNew
 	// AccessWrite is a Store outside the declared Writes set.
 	AccessWrite AccessOp = core.AccessWrite
+	// AccessReadOld is a LoadOld (or LoadOldRow) of an element the loop
+	// writes; LoadOld is defined only for elements no iteration writes.
+	AccessReadOld AccessOp = core.AccessReadOld
 )
 
 // Trace is the per-iteration execution record collected under WithTrace.
@@ -93,6 +96,7 @@ const (
 	// decomposition and its static schedule are cached across runs on the
 	// same runtime (keyed by the loop's access pattern), so repeated solves
 	// inspect once. Requires Loop.Reads and natural order (no WithOrder).
+	// A loop without anti-dependences runs in place (Report.InPlace).
 	Wavefront ExecutorKind = core.ExecWavefront
 	// WavefrontDynamic is the wavefront execution with dynamic within-level
 	// assignment: the same cached decomposition as Wavefront, but inside
@@ -362,9 +366,11 @@ func WithEpochTables() Option {
 
 // WithAccessCheck enables the declared-access sanitizer: every iteration's
 // actual Values accesses (Load, LoadNew, Store) are shadow-checked against
-// the pattern the loop declares through Writes and Reads, and the first
-// undeclared access aborts the run with an *AccessError naming the iteration,
-// the element and the accessor. Use it in tests and while bringing up a new
+// the pattern the loop declares through Writes and Reads, a LoadOld of an
+// element the loop writes is reported too, and the first violation aborts
+// the run with an *AccessError naming the iteration, the element and the
+// accessor. Checked runs take the same path as unchecked ones, in-place
+// wavefront execution included. Use it in tests and while bringing up a new
 // loop: an under-declared pattern often runs correctly under the dynamic
 // doacross executor and only races once a pre-scheduled (wavefront) executor
 // trusts the declaration. The check costs a few membership probes per access

@@ -93,6 +93,27 @@
 // intake queue rejects new requests with ErrServiceQueueFull rather than
 // blocking the caller.
 //
+// # In-place execution
+//
+// The paper's executor renames every write into a scratch buffer and copies
+// the results back afterwards; the renaming exists only to satisfy
+// anti-dependences (a read of an element a later iteration writes). While
+// building a wavefront plan the inspector counts such declared reads. A plan
+// with none — every triangular solve qualifies — runs in place under
+// Wavefront and WavefrontDynamic (and whichever of them Auto picks): the body
+// reads and writes y, or RunMulti's gathered block, directly, and level
+// order alone gives every read its sequential value. That drops the
+// per-write seed, the classify-and-wait behind every Load and the
+// postprocess copy-back; Report.InPlace says which path a run took. Plans
+// with anti-dependences, and every Doacross run, keep the renamed path.
+// Two consequences for bodies: LoadOld (and LoadOldRow) is defined only for
+// elements no iteration writes, which WithAccessCheck enforces; and an
+// in-place run's Report.TrueDeps, SelfDeps and AntiOrNone are the plan's
+// counts of declared reads, equal to the per-Load counts whenever the body
+// Loads exactly its declared reads once each. RepairPlans keeps the count
+// current; an edit that gives a previously unwritten element a writer makes
+// the plan run renamed until it is next rebuilt cold.
+//
 // # The doacross contract, and checking it
 //
 // Correctness rests on three conventions the compiler cannot enforce:

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"doacross/internal/flags"
+)
 
 // This file implements the declared-access sanitizer behind
 // Options.AccessCheck: an opt-in shadow check that records, for every
@@ -36,6 +40,11 @@ const (
 	AccessReadNew
 	// AccessWrite is a Values.Store outside the declared Writes set.
 	AccessWrite
+	// AccessReadOld is a Values.LoadOld (or MultiValues.LoadOldRow) of an
+	// element some iteration of the loop writes. LoadOld is defined only for
+	// elements the loop never writes: an in-place run has no separate old
+	// array, so such a read could observe a new value.
+	AccessReadOld
 )
 
 // String names the operation as it appears in diagnostics.
@@ -45,6 +54,8 @@ func (op AccessOp) String() string {
 		return "Load"
 	case AccessReadNew:
 		return "LoadNew"
+	case AccessReadOld:
+		return "LoadOld"
 	default:
 		return "Store"
 	}
@@ -69,32 +80,39 @@ func (e *AccessError) Error() string {
 		return fmt.Sprintf("core: access check: iteration %d Loads element %d, which its declared Reads/Writes pattern does not cover", e.Iteration, e.Element)
 	case AccessReadNew:
 		return fmt.Sprintf("core: access check: iteration %d LoadNews element %d, which its declared Writes pattern does not cover", e.Iteration, e.Element)
+	case AccessReadOld:
+		return fmt.Sprintf("core: access check: iteration %d LoadOlds element %d, which the loop writes (LoadOld is only defined for elements no iteration writes)", e.Iteration, e.Element)
 	default:
 		return fmt.Sprintf("core: access check: iteration %d Stores element %d, which its declared Writes pattern does not cover", e.Iteration, e.Element)
 	}
 }
 
 // accessRecorder is the per-worker shadow state of one checked iteration: the
-// declared access sets and the first violation observed. Declared sets are
-// kept as the slices the loop's own closures returned — they are small (one
-// to a handful of elements), so eager membership probes are cheaper than
-// building a set would be.
+// declared access sets, the run's writer classifier and the first violation
+// observed. Declared sets are kept as the slices the loop's own closures
+// returned — they are small (one to a handful of elements), so eager
+// membership probes are cheaper than building a set would be.
 type accessRecorder struct {
 	iteration  int
 	writes     []int
 	reads      []int
 	checkReads bool
-	violation  *AccessError
+	// writers classifies elements against the whole loop's writes (the
+	// inspector's table or the plan's writer index), for the LoadOld check;
+	// nil when the executor has none (the doall baseline).
+	writers   writerTable
+	violation *AccessError
 }
 
 // begin arms the recorder for iteration i. reads is nil (and checkReads
 // false) for loops that declare no Reads: such loops rely on the dynamic
 // dependency check alone, so only their writes can be misdeclared.
-func (r *accessRecorder) begin(i int, writes, reads []int, checkReads bool) {
+func (r *accessRecorder) begin(i int, writes, reads []int, checkReads bool, writers writerTable) {
 	r.iteration = i
 	r.writes = writes
 	r.reads = reads
 	r.checkReads = checkReads
+	r.writers = writers
 	r.violation = nil
 }
 
@@ -143,29 +161,43 @@ func (r *accessRecorder) noteStore(e int) {
 	}
 }
 
-// armAccessCheck attaches worker's recorder to v for iteration i when the
-// runtime's declared-access sanitizer is on. writes is the Writes(i) slice
-// the caller has already obtained. reset has cleared v.rec, so unchecked
-// runtimes (rt.recs == nil) leave the accessors on their no-op path.
-func (rt *Runtime) armAccessCheck(v *Values, l *Loop, worker, i int, writes []int) {
-	if rt.recs == nil {
+// noteLoadOld checks a Values.LoadOld: the element must be one no iteration
+// writes. Every writerTable reports an unwritten element's writer as
+// flags.MaxInt.
+func (r *accessRecorder) noteLoadOld(e int) {
+	if r.writers == nil {
 		return
+	}
+	if _, w := r.writers.Classify(e, r.iteration); w != flags.MaxInt {
+		r.fail(e, AccessReadOld)
+	}
+}
+
+// armAccessCheck returns worker's recorder armed for iteration i when the
+// runtime's declared-access sanitizer is on, nil otherwise. writes is the
+// Writes(i) slice the caller has already obtained and writers the run's
+// writer classifier (nil when it has none). Unchecked runtimes (rt.recs ==
+// nil) get nil, which keeps the accessors on their no-op path.
+func (rt *Runtime) armAccessCheck(l *Loop, worker, i int, writes []int, writers writerTable) *accessRecorder {
+	if rt.recs == nil {
+		return nil
 	}
 	r := &rt.recs[worker]
 	var reads []int
 	if l.Reads != nil {
 		reads = l.Reads(i)
 	}
-	r.begin(i, writes, reads, l.Reads != nil)
-	v.rec = r
+	r.begin(i, writes, reads, l.Reads != nil, writers)
+	return r
 }
 
-// accessViolation returns the iteration's first undeclared access, nil when
-// the iteration was unchecked or clean. Called after the body returns, so one
-// iteration's diff costs one pointer test on the unchecked path.
-func (v *Values) accessViolation() error {
-	if v.rec == nil || v.rec.violation == nil {
+// err returns the iteration's first undeclared access, nil when the
+// iteration was unchecked (r == nil) or clean. Called after the body
+// returns, so one iteration's diff costs one pointer test on the unchecked
+// path.
+func (r *accessRecorder) err() error {
+	if r == nil || r.violation == nil {
 		return nil
 	}
-	return v.rec.violation
+	return r.violation
 }

@@ -35,7 +35,11 @@ const (
 	// once. Requires natural order (no Options.Order) and a Loop.Reads that
 	// covers every element the body may Load — the level placement is
 	// derived from it, so an under-declared read silently breaks the
-	// pre-scheduled execution (see the Loop.Reads contract).
+	// pre-scheduled execution (see the Loop.Reads contract). When no
+	// declared read observes an element a later iteration writes (no
+	// anti-dependence — every triangular solve), the run is in place: the
+	// body works on y directly, with no ynew seed, no per-read
+	// classification and no copy-back (Report.InPlace).
 	ExecWavefront
 	// ExecAuto inspects the loop once (through the same cache ExecWavefront
 	// uses) and picks the strategy with a calibrated cost model: the
@@ -118,11 +122,7 @@ func (rt *Runtime) executorFor(l *Loop, rep *Report, nrhs int) (executor, error)
 		if err != nil {
 			return nil, err
 		}
-		if rt.opts.Executor == ExecWavefrontDynamic {
-			return dynamicWavefrontExecutor{rt: rt, plan: plan, cached: cached}, nil
-		}
-		plan.staticSchedule(rt.opts.Policy)
-		return wavefrontExecutor{rt: rt, plan: plan, cached: cached}, nil
+		return rt.wavefrontExecutorFor(rt.opts.Executor, plan, cached), nil
 	case ExecAuto:
 		if l.Reads == nil || rt.opts.Order != nil {
 			return doacrossExecutor{rt}, nil
@@ -159,18 +159,26 @@ func (rt *Runtime) executorFor(l *Loop, rep *Report, nrhs int) (executor, error)
 			}
 			pick = autoChoose(plan.stats, rt.opts.Workers, nrhs, costs)
 		}
-		switch pick {
-		case ExecWavefrontDynamic:
-			return dynamicWavefrontExecutor{rt: rt, plan: plan, cached: cached}, nil
-		case ExecWavefront:
-			plan.staticSchedule(rt.opts.Policy)
-			return wavefrontExecutor{rt: rt, plan: plan, cached: cached}, nil
-		default:
+		if pick == ExecDoacross {
 			return doacrossExecutor{rt}, nil
 		}
+		return rt.wavefrontExecutorFor(pick, plan, cached), nil
 	default:
 		return nil, fmt.Errorf("core: unknown executor kind %d", int(rt.opts.Executor))
 	}
+}
+
+// wavefrontExecutorFor returns the static or dynamic wavefront executor over
+// a resolved plan. The static schedule is materialized here, so its cost
+// counts as preprocessing; the in-place decision is the plan's (see
+// wavefrontPlan.inPlace).
+func (rt *Runtime) wavefrontExecutorFor(kind ExecutorKind, plan *wavefrontPlan, cached bool) executor {
+	inPlace := plan.inPlace() && !rt.buffered
+	if kind == ExecWavefrontDynamic {
+		return dynamicWavefrontExecutor{rt: rt, plan: plan, cached: cached, inPlace: inPlace}
+	}
+	plan.staticSchedule(rt.opts.Policy)
+	return wavefrontExecutor{rt: rt, plan: plan, cached: cached, inPlace: inPlace}
 }
 
 // InspectStats describes what the inspector learned about a loop's
@@ -285,6 +293,73 @@ type wavefrontPlan struct {
 	// gen is the runtime's plan generation at build time; InvalidatePlans
 	// advances the generation, making every earlier plan stale.
 	gen uint64
+	// iterReads[i] classifies iteration i's declared reads against the
+	// writer index, and reads totals them; both are filled while the graph
+	// is built and kept in step by RepairPlans. They decide whether the plan
+	// runs in place and are what an in-place run reports as its dependency
+	// counters (see Report.TrueDeps).
+	iterReads []readClasses
+	reads     readTotals
+	// antiUnknown marks a repaired plan whose anti-dependence count may be
+	// low: an edit gave a previously unwritten element a writer, and readers
+	// of that element that precede the writer need not be in the edit set
+	// (their predecessors did not change). Such a plan runs renamed until a
+	// cold inspection rebuilds it.
+	antiUnknown bool
+}
+
+// inPlace reports whether the plan may run directly on the caller's data:
+// no declared read observes an element a later iteration writes, so no
+// write ever needs renaming. Level order then already gives every read the
+// value the sequential loop sees — true dependencies were produced in an
+// earlier level, the reader's own elements are untouched until it stores
+// them, and unwritten elements never change.
+func (p *wavefrontPlan) inPlace() bool { return p.reads.anti == 0 && !p.antiUnknown }
+
+// readClasses counts one iteration's declared reads by their classification
+// against the writer index: written by an earlier iteration, by the reader
+// itself, by a later iteration (an anti-dependence), or by none.
+type readClasses struct{ trueDeps, selfDeps, anti, none int32 }
+
+// readTotals sums readClasses over a plan's iterations.
+type readTotals struct{ trueDeps, selfDeps, anti, none int64 }
+
+// add adds c to the totals, or subtracts it when sign is -1.
+func (t *readTotals) add(c readClasses, sign int64) {
+	t.trueDeps += sign * int64(c.trueDeps)
+	t.selfDeps += sign * int64(c.selfDeps)
+	t.anti += sign * int64(c.anti)
+	t.none += sign * int64(c.none)
+}
+
+// counters returns the totals as the report's dependency counters.
+func (t readTotals) counters() execCounters {
+	return execCounters{trueDeps: t.trueDeps, selfDeps: t.selfDeps, antiOrNone: t.anti + t.none}
+}
+
+// classifyReads classifies iteration i's declared reads against the writer
+// index, exactly as planTable.Classify would classify them one Load at a
+// time. Out-of-range elements count as unwritten, as the graph builder
+// ignores them.
+func classifyReads(i int, reads []int, writer []int32) readClasses {
+	var c readClasses
+	for _, e := range reads {
+		w := int32(-1)
+		if e >= 0 && e < len(writer) {
+			w = writer[e]
+		}
+		switch {
+		case w < 0:
+			c.none++
+		case int(w) < i:
+			c.trueDeps++
+		case int(w) == i:
+			c.selfDeps++
+		default:
+			c.anti++
+		}
+	}
+	return c
 }
 
 // staticSchedule returns the plan's level-sorted static schedule, deriving it
@@ -437,9 +512,21 @@ func (rt *Runtime) buildPlan(l *Loop) (*wavefrontPlan, error) {
 	if failErr != nil {
 		return nil, failErr
 	}
-	g := depgraph.BuildParallelFromWriterIndex(l.N, writer, l.Reads, guardedFor)
+	// The graph builder calls Reads once per iteration; classifying the
+	// returned reads in the same call counts them without a second sweep.
+	iterReads := make([]readClasses, l.N)
+	reads := func(i int) []int {
+		rs := l.Reads(i)
+		iterReads[i] = classifyReads(i, rs, writer)
+		return rs
+	}
+	g := depgraph.BuildParallelFromWriterIndex(l.N, writer, reads, guardedFor)
 	if failErr != nil {
 		return nil, failErr
+	}
+	var totals readTotals
+	for _, c := range iterReads {
+		totals.add(c, 1)
 	}
 	ls := g.LevelsInto(&rt.levelScratch)
 
@@ -492,6 +579,8 @@ func (rt *Runtime) buildPlan(l *Loop) (*wavefrontPlan, error) {
 		imb:        imb,
 		stats:      stats,
 		gen:        rt.planGen,
+		iterReads:  iterReads,
+		reads:      totals,
 	}, nil
 }
 
@@ -572,12 +661,10 @@ func (e doacrossExecutor) execute(l *Loop, y []float64, rep *Report) {
 	if k < 1 {
 		k = 1
 	}
-	for i := range rt.counters {
-		rt.counters[i] = execCounters{}
-	}
+	rt.resetCounters()
 
 	traceBase := rt.armTrace(l)
-	body := rt.execBody(l, y, tab, ready, traceBase)
+	body := rt.execBody(l, y, tab, ready, traceBase, nil)
 
 	dynamic := rt.opts.Policy == sched.Dynamic
 	chunk := rt.opts.Chunk
@@ -650,24 +737,27 @@ func (e doacrossExecutor) execute(l *Loop, y []float64, rep *Report) {
 	rep.ExecTime = execEnd - preEnd
 	rep.PostTime = total - execEnd
 	rep.TotalTime = total
+	rep.setCounters(rt.sumCounters())
 }
 
 // wavefrontExecutor is the pre-scheduled level-set execution the paper
 // compares the doacross against: the (cached) inspection decomposes the loop
 // into wavefronts, and one fused pool submission runs each level as a doall
-// over its static schedule with a barrier between levels, then the
-// postprocessing copy-back. No per-element flags exist and no read ever
-// waits; the renaming through ynew still satisfies anti-dependencies, and
-// because the plan's writer index doubles as the dependency classifier, a
+// over its static schedule with a barrier between levels. No per-element
+// flags exist and no read ever waits. A plan without anti-dependences runs in
+// place on y (inPlace); otherwise the renaming through ynew satisfies the
+// anti-dependences and a postprocessing copy-back follows the last level.
+// Because the plan's writer index doubles as the dependency classifier, a
 // warm run touches no scratch tables at all (nothing to reset).
 //
 // The plan is resolved by executorFor (so its cost — cold build or cache
 // lookup — is the run's reported preprocessing time, and the cached flag
 // reflects that resolution, not a second lookup).
 type wavefrontExecutor struct {
-	rt     *Runtime
-	plan   *wavefrontPlan
-	cached bool
+	rt      *Runtime
+	plan    *wavefrontPlan
+	cached  bool
+	inPlace bool
 }
 
 func (wavefrontExecutor) name() string { return "wavefront" }
@@ -681,19 +771,14 @@ func (e wavefrontExecutor) execute(l *Loop, y []float64, rep *Report) {
 	start := time.Now()
 	rep.InspectCached = e.cached
 	rep.Levels = s.Levels()
-	preEnd := time.Duration(0)
 
-	for i := range rt.counters {
-		rt.counters[i] = execCounters{}
-	}
-	traceBase := rt.armTrace(l)
-	body := rt.execBody(l, y, plan.table(), levelReady{}, traceBase)
+	body := rt.levelBody(l, y, plan, e.inPlace)
 
 	k := s.Workers()
 	levels := s.Levels()
 	ab := &rt.ab
 	bar := phaseBarrier{n: int32(k)}
-	execEnd := preEnd
+	var execEnd time.Duration
 	stampExec := func() { execEnd = time.Since(start) }
 	rt.pool.Submit(k, func(w int) {
 		for lvl := 0; lvl < levels; lvl++ {
@@ -713,27 +798,60 @@ func (e wavefrontExecutor) execute(l *Loop, y []float64, rep *Report) {
 				bar.wait(nil)
 			}
 		}
-		// Postprocessor shard: only the copy-back — the plan's writer index
-		// is immutable and there are no ready flags, so nothing is reset.
-		if ab.triggered.Load() {
-			return
+		if !e.inPlace {
+			rt.copyBack(l, y, k, w)
 		}
-		lo, hi := sched.BlockRange(l.N, k, w)
-		rt.guard("loop Writes (postprocessor)", func() {
-			for i := lo; i < hi; i++ {
-				for _, e := range l.Writes(i) {
-					y[e] = rt.ynew[e]
-				}
-			}
-		})
 	})
+	rt.finishLevels(l, rep, plan, e.inPlace, start, execEnd)
+}
+
+// levelBody arms the per-run state of a wavefront run and returns its
+// per-position body: in place on y when inPlace, renamed through ynew
+// otherwise. Level barriers stand in for the doacross's ready flags, so the
+// body's waiter is the no-op levelReady.
+func (rt *Runtime) levelBody(l *Loop, y []float64, plan *wavefrontPlan, inPlace bool) func(worker, pos int) {
+	traceBase := rt.armTrace(l)
+	if inPlace {
+		return rt.execBody(l, y, plan.table(), levelReady{}, traceBase, plan)
+	}
+	rt.resetCounters()
+	return rt.execBody(l, y, plan.table(), levelReady{}, traceBase, nil)
+}
+
+// copyBack is worker w's shard (of k) of a renamed wavefront run's
+// postprocess: only the copy-back — the plan's writer index is immutable and
+// there are no ready flags, so nothing is reset. An aborted run skips it.
+func (rt *Runtime) copyBack(l *Loop, y []float64, k, w int) {
+	if rt.ab.triggered.Load() {
+		return
+	}
+	lo, hi := sched.BlockRange(l.N, k, w)
+	rt.guard("loop Writes (postprocessor)", func() {
+		for i := lo; i < hi; i++ {
+			for _, e := range l.Writes(i) {
+				y[e] = rt.ynew[e]
+			}
+		}
+	})
+}
+
+// finishLevels closes a wavefront run: it restores the doacross table after a
+// standalone Inspect and stamps the report's phase times (the plan was
+// resolved before start, so the run itself has no preprocessing), in-place
+// flag and dependency counters — the plan's inspected counts for an in-place
+// run, which classifies nothing, and the per-worker counts otherwise.
+func (rt *Runtime) finishLevels(l *Loop, rep *Report, plan *wavefrontPlan, inPlace bool, start time.Time, execEnd time.Duration) {
 	rt.cleanStandaloneInspect(l)
 	total := time.Since(start)
-
-	rep.PreTime = preEnd
-	rep.ExecTime = execEnd - preEnd
+	rep.ExecTime = execEnd
 	rep.PostTime = total - execEnd
 	rep.TotalTime = total
+	rep.InPlace = inPlace
+	if inPlace {
+		rep.setCounters(plan.reads.counters())
+	} else {
+		rep.setCounters(rt.sumCounters())
+	}
 }
 
 // cleanStandaloneInspect restores the doacross writer table after a
@@ -765,7 +883,8 @@ func (rt *Runtime) cleanStandaloneInspect(l *Loop) {
 // the busy-wait doacross uses under the Dynamic policy, restricted to one
 // level at a time. The counter is reset by the last arriver at each level
 // barrier, so the reset is ordered before any worker starts claiming the
-// next level.
+// next level. It runs in place under the same condition as the static
+// executor.
 //
 // Compared to the static wavefront it trades one contended atomic per chunk
 // claim for within-level load balance: a level whose members have
@@ -775,9 +894,10 @@ func (rt *Runtime) cleanStandaloneInspect(l *Loop) {
 // directly, so a runtime that only runs dynamically skips NewLevelSchedule
 // altogether.
 type dynamicWavefrontExecutor struct {
-	rt     *Runtime
-	plan   *wavefrontPlan
-	cached bool
+	rt      *Runtime
+	plan    *wavefrontPlan
+	cached  bool
+	inPlace bool
 }
 
 func (dynamicWavefrontExecutor) name() string { return "wavefront-dynamic" }
@@ -789,13 +909,8 @@ func (e dynamicWavefrontExecutor) execute(l *Loop, y []float64, rep *Report) {
 	rep.InspectCached = e.cached
 	levels := plan.levels.Count()
 	rep.Levels = levels
-	preEnd := time.Duration(0)
 
-	for i := range rt.counters {
-		rt.counters[i] = execCounters{}
-	}
-	traceBase := rt.armTrace(l)
-	body := rt.execBody(l, y, plan.table(), levelReady{}, traceBase)
+	body := rt.levelBody(l, y, plan, e.inPlace)
 
 	chunk := rt.opts.Chunk
 	if chunk < 1 {
@@ -815,7 +930,7 @@ func (e dynamicWavefrontExecutor) execute(l *Loop, y []float64, rep *Report) {
 	stop := func() bool { return ab.triggered.Load() }
 	bar := phaseBarrier{n: int32(k)}
 	var next atomic.Int64
-	execEnd := preEnd
+	var execEnd time.Duration
 	// The level barrier's last arriver resets the claim counter before the
 	// barrier opens, so every worker observes a zeroed counter when it starts
 	// claiming the next level.
@@ -840,27 +955,11 @@ func (e dynamicWavefrontExecutor) execute(l *Loop, y []float64, rep *Report) {
 				bar.wait(resetNext)
 			}
 		}
-		if ab.triggered.Load() {
-			return
+		if !e.inPlace {
+			rt.copyBack(l, y, k, w)
 		}
-		// Postprocessor shard: only the copy-back, as in the static
-		// wavefront — nothing was recorded, so nothing is reset.
-		lo, hi := sched.BlockRange(l.N, k, w)
-		rt.guard("loop Writes (postprocessor)", func() {
-			for i := lo; i < hi; i++ {
-				for _, e := range l.Writes(i) {
-					y[e] = rt.ynew[e]
-				}
-			}
-		})
 	})
-	rt.cleanStandaloneInspect(l)
-	total := time.Since(start)
-
-	rep.PreTime = preEnd
-	rep.ExecTime = execEnd - preEnd
-	rep.PostTime = total - execEnd
-	rep.TotalTime = total
+	rt.finishLevels(l, rep, plan, e.inPlace, start, execEnd)
 }
 
 // guard runs one phase shard with panic recovery: a panicking user function

@@ -18,6 +18,12 @@
 //     into y and reset the iter/ready entries that were used, so the scratch
 //     arrays can be reused by the next doacross loop.
 //
+// The renaming exists only for anti-dependencies. When the wavefront
+// inspector proves a loop has none (no declared read of an element a later
+// iteration writes — true of every triangular solve), the wavefront
+// executors run the plan in place on y instead: no seed, no classification
+// per read, no copy-back.
+//
 // The package also provides the paper's Section 2.3 variants (the
 // strip-mined/blocked doacross and the linear-subscript doacross that needs
 // no inspector), plus baseline executors (sequential, doall, oracle doacross)
@@ -279,12 +285,20 @@ func (v *Values) Load(e int) float64 {
 	}
 }
 
-// LoadOld returns the value element e had before the loop started, without
-// any dependency check. Bodies use it for elements that are known never to be
-// written by the loop. Because the old array is immutable for the duration of
-// the executor phase, LoadOld can never race and the declared-access
-// sanitizer does not require it to be declared.
-func (v *Values) LoadOld(e int) float64 { return v.old[e] }
+// LoadOld returns the value of element e, without any dependency check. It is
+// defined only for elements no iteration of the loop writes, whose value is
+// the same before, during and after the run: an in-place run (see
+// Report.InPlace) has no separate old array, so LoadOld of a written element
+// could observe another iteration's new value. For such elements LoadOld
+// never races, and the declared-access sanitizer does not require them to be
+// declared as reads; it does report a LoadOld of a written element as an
+// AccessReadOld violation. Use Load for elements the loop writes.
+func (v *Values) LoadOld(e int) float64 {
+	if v.rec != nil {
+		v.rec.noteLoadOld(e)
+	}
+	return v.old[e]
+}
 
 // LoadNew returns the in-progress new value of element e without any
 // dependency check or wait. It is intended for a body reading back an element

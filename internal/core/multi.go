@@ -149,9 +149,17 @@ func (v *MultiValues) Store(e, c int, x float64) {
 	v.Row(e)[c] = x
 }
 
-// LoadOldRow returns the row element e had before the loop started, with no
-// dependency check — the multi-RHS LoadOld. The returned slice is read-only.
-func (v *MultiValues) LoadOldRow(e int) []float64 { return v.old[e*v.nc : (e+1)*v.nc] }
+// LoadOldRow returns the row of element e with no dependency check — the
+// multi-RHS LoadOld, under the same contract: it is defined only for
+// elements no iteration of the loop writes, and the declared-access
+// sanitizer reports any other use as an AccessReadOld violation. The
+// returned slice is read-only.
+func (v *MultiValues) LoadOldRow(e int) []float64 {
+	if v.rec != nil {
+		v.rec.noteLoadOld(e)
+	}
+	return v.old[e*v.nc : (e+1)*v.nc]
+}
 
 // Waits reports how many polling steps this iteration spent waiting on
 // unsatisfied true dependencies.
@@ -163,30 +171,6 @@ func (v *MultiValues) Fail(err error) {
 	if err != nil && v.failErr == nil {
 		v.failErr = err
 	}
-}
-
-// accessViolation mirrors Values.accessViolation for the multi path.
-func (v *MultiValues) accessViolation() error {
-	if v.rec == nil || v.rec.violation == nil {
-		return nil
-	}
-	return v.rec.violation
-}
-
-// armAccessCheckMulti attaches worker's recorder to v for iteration i when the
-// declared-access sanitizer is on, exactly as armAccessCheck does for the
-// scalar path.
-func (rt *Runtime) armAccessCheckMulti(v *MultiValues, l *Loop, worker, i int, writes []int) {
-	if rt.recs == nil {
-		return
-	}
-	r := &rt.recs[worker]
-	var reads []int
-	if l.Reads != nil {
-		reads = l.Reads(i)
-	}
-	r.begin(i, writes, reads, l.Reads != nil)
-	v.rec = r
 }
 
 // multiRun is the runtime's armed multi-RHS block state. A zero nc means the
@@ -287,6 +271,7 @@ func (rt *Runtime) RunMulti(ctx context.Context, l *Loop, ys [][]float64) (Repor
 		rep.Executor = blockRep.Executor
 		rep.Levels = blockRep.Levels
 		rep.InspectCached = blockRep.InspectCached
+		rep.InPlace = blockRep.InPlace
 		rep.AutoCosts = blockRep.AutoCosts
 		rep.PredictedDoacrossNs = blockRep.PredictedDoacrossNs
 		rep.PredictedWavefrontNs = blockRep.PredictedWavefrontNs
@@ -302,7 +287,9 @@ func (rt *Runtime) RunMulti(ctx context.Context, l *Loop, ys [][]float64) (Repor
 // gather the columns into the element-major block buffers, execute the loop
 // with the multi body armed (the executors themselves are unchanged — their
 // scalar copy-back degenerates to self-assignment on the renaming buffer),
-// then scatter the written rows back to the columns. Caller holds runMu.
+// then scatter the written rows back to the columns: from the new block of a
+// renamed run, or from the old block an in-place run updated directly.
+// Caller holds runMu.
 func (rt *Runtime) runMultiBlock(ctx context.Context, l *Loop, ys [][]float64, colBase int) (Report, error) {
 	rep := Report{Workers: rt.opts.Workers, Iterations: l.N, NRHS: len(ys)}
 	selStart := time.Now()
@@ -332,7 +319,11 @@ func (rt *Runtime) runMultiBlock(ctx context.Context, l *Loop, ys [][]float64, c
 	runErr := rt.ab.firstErr()
 	if runErr == nil {
 		postStart := time.Now()
-		rt.scatterMulti(l, ys)
+		src := rt.mnew
+		if rep.InPlace {
+			src = rt.mold
+		}
+		rt.scatterMulti(l, ys, src)
 		d := time.Since(postStart)
 		rep.PostTime += d
 		rep.TotalTime += d
@@ -345,7 +336,6 @@ func (rt *Runtime) runMultiBlock(ctx context.Context, l *Loop, ys [][]float64, c
 	}
 	rep.PreTime += selTime + gatherTime
 	rep.TotalTime += selTime + gatherTime
-	rep.setCounters(sumCounters(rt.counters))
 	rt.observeTuning(&rep)
 	return rep, nil
 }
@@ -363,9 +353,6 @@ func (rt *Runtime) armMulti(l *Loop, ys [][]float64, colBase int) {
 	}
 	rt.mold = rt.mold[:need]
 	rt.mnew = rt.mnew[:need]
-	if rt.mvals == nil {
-		rt.mvals = make([]MultiValues, rt.opts.Workers)
-	}
 	mold := rt.mold
 	rt.pool.ParallelFor(l.Data, func(e int) {
 		row := mold[e*nc : (e+1)*nc]
@@ -376,14 +363,13 @@ func (rt *Runtime) armMulti(l *Loop, ys [][]float64, colBase int) {
 	rt.mc = multiRun{nc: nc, colBase: colBase}
 }
 
-// scatterMulti copies the written rows of the new block back into the caller's
+// scatterMulti copies the written rows of block src back into the caller's
 // columns — the multi path's counterpart of the postprocess copy-back.
-func (rt *Runtime) scatterMulti(l *Loop, ys [][]float64) {
+func (rt *Runtime) scatterMulti(l *Loop, ys [][]float64, src []float64) {
 	nc := rt.mc.nc
-	mnew := rt.mnew
 	rt.pool.ParallelFor(l.N, func(i int) {
 		for _, e := range l.Writes(i) {
-			row := mnew[e*nc : (e+1)*nc]
+			row := src[e*nc : (e+1)*nc]
 			for c := range ys {
 				ys[c][e] = row[c]
 			}
@@ -397,13 +383,20 @@ func (rt *Runtime) scatterMulti(l *Loop, ys [][]float64) {
 // elements ready and accumulates the worker's counters. The executors obtain
 // it transparently through execBody when a block is armed, so all of them —
 // doacross, both wavefronts, and whatever Auto picks — run the multi path
-// with their own scheduling and barrier structure unchanged.
-func (rt *Runtime) execBodyMulti(l *Loop, tab writerTable, ready readyWaiter, traceBase time.Time) func(worker, pos int) {
+// with their own scheduling and barrier structure unchanged. With direct set
+// the block runs in place on the old block, as execBodyInPlace runs y: no
+// row seed, no classification, no publication and no counting.
+func (rt *Runtime) execBodyMulti(l *Loop, tab writerTable, ready readyWaiter, traceBase time.Time, direct *wavefrontPlan) func(worker, pos int) {
 	order := rt.opts.Order
 	ab := &rt.ab
 	nc := rt.mc.nc
 	colBase := rt.mc.colBase
 	mold, mnew := rt.mold, rt.mnew
+	vtab, vready := tab, ready
+	if direct != nil {
+		mnew = mold
+		vtab, vready = seqTable{}, seqReady{}
+	}
 	return func(worker, pos int) {
 		if ab.triggered.Load() {
 			return
@@ -416,42 +409,45 @@ func (rt *Runtime) execBodyMulti(l *Loop, tab writerTable, ready readyWaiter, tr
 		if rt.lastTrace != nil {
 			start = time.Since(traceBase)
 		}
-		writes := l.Writes(i)
-		// Seed the written rows with the old rows (the multi counterpart of
-		// Figure 5's statement S2), so intra-iteration reads through Row
-		// observe the pre-iteration values.
-		for _, e := range writes {
-			copy(mnew[e*nc:(e+1)*nc], mold[e*nc:(e+1)*nc])
+		var writes []int
+		if direct == nil || rt.recs != nil {
+			writes = l.Writes(i)
 		}
-		mv := &rt.mvals[worker]
-		mv.reset(tab, ready, mold, mnew, nc, colBase, i, rt.opts.WaitStrategy, &ab.triggered)
-		rt.armAccessCheckMulti(mv, l, worker, i, writes)
+		if direct == nil {
+			// Seed the written rows with the old rows (the multi counterpart
+			// of Figure 5's statement S2), so intra-iteration reads through
+			// Row observe the pre-iteration values.
+			for _, e := range writes {
+				copy(mnew[e*nc:(e+1)*nc], mold[e*nc:(e+1)*nc])
+			}
+		}
+		slot := &rt.slots[worker]
+		mv := &slot.mvals
+		mv.reset(vtab, vready, mold, mnew, nc, colBase, i, rt.opts.WaitStrategy, &ab.triggered)
+		mv.rec = rt.armAccessCheck(l, worker, i, writes, tab)
 		if err := rt.runMultiBody(l, i, mv); err != nil {
 			ab.abort(err)
 			return
 		}
-		if err := mv.accessViolation(); err != nil {
+		if err := mv.rec.err(); err != nil {
 			ab.abort(err)
 			return
 		}
-		for _, e := range writes {
-			ready.Set(e)
-		}
-		c := &rt.counters[worker]
-		c.trueDeps += int64(mv.truedeps)
-		c.selfDeps += int64(mv.selfdeps)
-		c.antiOrNone += int64(mv.antiOrNone)
-		c.waitPolls += int64(mv.waits)
-		if rt.lastTrace != nil {
-			rt.lastTrace.Iterations[pos] = IterTrace{
-				Iteration: i,
-				Position:  pos,
-				Worker:    worker,
-				Start:     start,
-				End:       time.Since(traceBase),
-				WaitPolls: mv.waits,
-				TrueDeps:  mv.truedeps,
+		trueDeps := mv.truedeps
+		if direct != nil {
+			trueDeps = int(direct.iterReads[i].trueDeps)
+		} else {
+			for _, e := range writes {
+				ready.Set(e)
 			}
+			c := &slot.counters
+			c.trueDeps += int64(mv.truedeps)
+			c.selfDeps += int64(mv.selfdeps)
+			c.antiOrNone += int64(mv.antiOrNone)
+			c.waitPolls += int64(mv.waits)
+		}
+		if rt.lastTrace != nil {
+			rt.traceIter(traceBase, start, pos, i, worker, mv.waits, trueDeps)
 		}
 	}
 }

@@ -145,7 +145,18 @@ func (rt *Runtime) RepairPlans(l *Loop, edits EditSet) (RepairReport, error) {
 	}
 
 	// Phase 2 — pure plan surgery; from here on a failure must invalidate,
-	// since the writer index and graph mutate in place.
+	// since the writer index and graph mutate in place. An element that
+	// gains its first writer can turn reads by earlier iterations into
+	// anti-dependences without changing their predecessors, so those readers
+	// need not be listed: the plan's anti-dependence count can no longer be
+	// trusted to be complete (see wavefrontPlan.antiUnknown).
+	for _, ws := range writes {
+		for _, e := range ws {
+			if plan.writer[e] < 0 {
+				plan.antiUnknown = true
+			}
+		}
+	}
 	for _, e := range edits.RetiredElems {
 		plan.writer[e] = -1
 	}
@@ -153,6 +164,15 @@ func (rt *Runtime) RepairPlans(l *Loop, edits EditSet) (RepairReport, error) {
 		for _, e := range ws {
 			plan.writer[e] = int32(dirty[k])
 		}
+	}
+	// Re-classify the edited iterations' reads against the updated writer
+	// index, keeping the in-place decision and the reported counts in step
+	// with a cold inspection.
+	for k, i := range dirty {
+		c := classifyReads(i, reads[k], plan.writer)
+		plan.reads.add(plan.iterReads[i], -1)
+		plan.reads.add(c, 1)
+		plan.iterReads[i] = c
 	}
 	g := plan.graph
 	workers := rt.opts.Workers

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"doacross/internal/sparse"
 )
 
 // randGatherIdx fills idx with a random gather pattern for gatherLoop:
@@ -53,7 +55,8 @@ func runGather(t *testing.T, label string, rt *Runtime, l *Loop, n int, idx []in
 
 // comparePlans asserts that a repaired plan is indistinguishable from the
 // plan a cold inspection of the same (edited) pattern builds: writer index,
-// graph, decomposition, statistics, imbalance cache and static schedule.
+// graph, decomposition, statistics, read classes and in-place decision,
+// imbalance cache and static schedule.
 func comparePlans(t *testing.T, label string, got, want *wavefrontPlan) {
 	t.Helper()
 	if got.n != want.n || got.data != want.data || got.workers != want.workers {
@@ -115,6 +118,17 @@ func comparePlans(t *testing.T, label string, got, want *wavefrontPlan) {
 	if math.Abs(gs.MeanLevelWidth-ws.MeanLevelWidth) > 1e-9 {
 		t.Fatalf("%s: MeanLevelWidth %v, want %v", label, gs.MeanLevelWidth, ws.MeanLevelWidth)
 	}
+	if got.reads != want.reads {
+		t.Fatalf("%s: read classes %+v, want %+v", label, got.reads, want.reads)
+	}
+	for i := range want.iterReads {
+		if got.iterReads[i] != want.iterReads[i] {
+			t.Fatalf("%s: iteration %d read classes %+v, want %+v", label, i, got.iterReads[i], want.iterReads[i])
+		}
+	}
+	if got.inPlace() != want.inPlace() {
+		t.Fatalf("%s: in place %v, cold rebuild %v", label, got.inPlace(), want.inPlace())
+	}
 	if math.Abs(gs.ReadImbalance-ws.ReadImbalance) > 1e-9 {
 		t.Fatalf("%s: ReadImbalance %v, want %v", label, gs.ReadImbalance, ws.ReadImbalance)
 	}
@@ -132,8 +146,11 @@ func comparePlans(t *testing.T, label string, got, want *wavefrontPlan) {
 // against every executor kind and checks after each repair that (a) the run
 // result matches the sequential reference, (b) for the plan-building
 // executors the patched plan is bit-identical to a cold plan of the edited
-// pattern (including the lazily patched static schedule), and (c) the next
-// run stamps Report.PlanRepaired.
+// pattern (including the lazily patched static schedule and the in-place
+// decision), and (c) the next run stamps Report.PlanRepaired. Some edits
+// point an iteration at a later one, adding an anti-dependence to a plan
+// that ran in place: the repaired plan must then run renamed; edits that
+// remove the last anti-dependence must bring it back in place.
 func TestRepairPlansPropertyAllExecutors(t *testing.T) {
 	execs := []struct {
 		name     string
@@ -169,9 +186,12 @@ func TestRepairPlansPropertyAllExecutors(t *testing.T) {
 					var edited []int
 					for k := 1 + rng.Intn(3); k > 0; k-- {
 						i := 1 + rng.Intn(n-1)
-						if rng.Intn(3) == 0 {
+						switch r := rng.Intn(8); {
+						case r < 2:
 							idx[i] = n + i
-						} else {
+						case r == 2 && i < n-1:
+							idx[i] = i + 1 + rng.Intn(n-1-i) // anti-dependence
+						default:
 							idx[i] = rng.Intn(i)
 						}
 						edited = append(edited, i, i) // duplicates must be fine
@@ -213,6 +233,19 @@ func TestRepairPlansPropertyAllExecutors(t *testing.T) {
 					}
 
 					runRep := runGather(t, "post-repair run", rt, l, n, idx)
+					seq := make([]float64, 2*n)
+					for i := 0; i < n; i++ {
+						seq[n+i] = float64(i)
+					}
+					mustRunSequential(t, l, seq)
+					if ref := gatherRef(n, idx); sparse.VecMaxDiff(seq, ref) != 0 {
+						t.Fatalf("trial %d step %d: gather reference disagrees with RunSequential", trial, step)
+					}
+					if anti := hasAnti(l); runRep.InPlace && anti {
+						t.Fatalf("trial %d step %d: plan with an anti-dependence ran in place", trial, step)
+					} else if !anti && !runRep.InPlace && (ex.kind == ExecWavefront || ex.kind == ExecWavefrontDynamic) {
+						t.Fatalf("trial %d step %d: anti-free repaired plan did not run in place", trial, step)
+					}
 					if ex.hasPlans {
 						// Auto may select the doacross executor, whose runs
 						// re-classify with flags and report no cache hit even

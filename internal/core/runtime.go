@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"doacross/internal/depgraph"
 	"doacross/internal/flags"
@@ -85,15 +86,25 @@ type Options struct {
 // Report describes one doacross execution: the time spent in each of the
 // three phases and aggregate synchronization counters.
 type Report struct {
-	Workers     int
-	Iterations  int
-	PreTime     time.Duration
-	ExecTime    time.Duration
-	PostTime    time.Duration
-	TotalTime   time.Duration
-	TrueDeps    int64
-	SelfDeps    int64
-	AntiOrNone  int64
+	Workers    int
+	Iterations int
+	PreTime    time.Duration
+	ExecTime   time.Duration
+	PostTime   time.Duration
+	TotalTime  time.Duration
+	// TrueDeps, SelfDeps and AntiOrNone classify the run's reads: produced by
+	// an earlier iteration, by the reading iteration itself, or by a later
+	// iteration or none. Renamed runs count them per Values.Load (and per
+	// MultiValues.LoadRow). An in-place run (InPlace) performs no
+	// classification, so its counts are the plan's: each declared read
+	// (Loop.Reads) classified once against the plan's writer index when the
+	// plan was inspected or repaired. The two agree whenever the body Loads
+	// exactly its declared reads, once each — every triangular solve does.
+	TrueDeps   int64
+	SelfDeps   int64
+	AntiOrNone int64
+	// WaitPolls counts busy-wait polls on unsatisfied true dependencies;
+	// always zero for the wavefront executors.
 	WaitPolls   int64
 	Order       string
 	WaitPolicy  string
@@ -109,6 +120,11 @@ type Report struct {
 	// schedule came from the runtime's schedule cache instead of a fresh
 	// inspection — the repeated-solve case the cache exists for.
 	InspectCached bool
+	// InPlace reports that a wavefront executor ran the loop directly on the
+	// caller's data: the plan has no anti-dependence, so no write needed
+	// renaming into the scratch buffer and there was no copy-back (see
+	// ExecWavefront). False for the doacross and for renamed runs.
+	InPlace bool
 	// PlanRepaired reports that the plan this run consumed was incrementally
 	// patched by RepairPlans since the previous run, rather than rebuilt by a
 	// cold inspection or replayed unchanged; RepairNs is the total time those
@@ -173,11 +189,11 @@ type Runtime struct {
 	eReady  *flags.EpochFlags
 	ynew    []float64
 
-	// Per-worker scratch reused across runs so the hot path of an iterative
-	// driver (a Krylov solve calling Run thousands of times) allocates
-	// nothing per Run beyond the schedule memoized below.
-	counters []execCounters
-	vals     []Values
+	// slots is the per-worker scratch reused across runs so the hot path of
+	// an iterative driver (a Krylov solve calling Run thousands of times)
+	// allocates nothing per Run beyond the schedule memoized below. Each
+	// worker owns one cache-line-padded slot (see workerSlot).
+	slots []workerSlot
 	// recs holds the per-worker declared-access recorders; nil unless
 	// Options.AccessCheck is set, which is what keeps the sanitizer off the
 	// unchecked hot path entirely.
@@ -242,14 +258,62 @@ type Runtime struct {
 
 	// Multi-RHS block state (see multi.go). mold/mnew are the element-major
 	// column-block buffers (value of element e, block column c at
-	// [e*nc + c]), mvals the per-worker MultiValues scratch, and mc the armed
-	// block descriptor: a non-zero mc.nc makes execBody hand executors the
-	// multi body instead of the scalar one. All are sized lazily on the first
-	// RunMulti and reused across blocks and runs.
-	mold  []float64
-	mnew  []float64
-	mvals []MultiValues
-	mc    multiRun
+	// [e*nc + c]) and mc the armed block descriptor: a non-zero mc.nc makes
+	// execBody hand executors the multi body instead of the scalar one. The
+	// buffers are sized lazily on the first RunMulti and reused across blocks
+	// and runs.
+	mold []float64
+	mnew []float64
+	mc   multiRun
+
+	// buffered forces the wavefront executors onto the renamed (ynew) path
+	// even for plans that could run in place; tests set it to compare the
+	// two paths on one plan.
+	buffered bool
+}
+
+// cacheLine is the coherence granule the per-worker slots are padded to.
+const cacheLine = 64
+
+// workerState is the mutable state one worker touches per iteration: its
+// reusable scalar and multi-RHS accessors and its dependency counters.
+type workerState struct {
+	vals     Values
+	mvals    MultiValues
+	counters execCounters
+}
+
+// workerSlot is one worker's workerState padded to whole cache lines, with at
+// least one full line of padding after it. Slots sit back to back in one
+// slice whose base address is only word-aligned, so the padding is what
+// keeps two workers' states off a common line: the last line worker w's
+// state touches and the first line worker w+1's state touches are at least
+// cacheLine bytes apart. Without it the counter updates of one worker
+// invalidate the line holding its neighbour's accessor fields on every
+// iteration (false sharing).
+type workerSlot struct {
+	workerState
+	_ [cacheLine + (cacheLine-unsafe.Sizeof(workerState{})%cacheLine)%cacheLine]byte
+}
+
+// resetCounters zeroes every worker's dependency counters before a run.
+func (rt *Runtime) resetCounters() {
+	for w := range rt.slots {
+		rt.slots[w].counters = execCounters{}
+	}
+}
+
+// sumCounters totals the per-worker dependency counters of one execution.
+func (rt *Runtime) sumCounters() execCounters {
+	var sum execCounters
+	for w := range rt.slots {
+		c := &rt.slots[w].counters
+		sum.trueDeps += c.trueDeps
+		sum.selfDeps += c.selfDeps
+		sum.antiOrNone += c.antiOrNone
+		sum.waitPolls += c.waitPolls
+	}
+	return sum
 }
 
 // runAbort coordinates early termination of a run: the first failure
@@ -311,12 +375,11 @@ func NewRuntime(dataLen int, opts Options) *Runtime {
 		pool = sched.NewSpawnPool(opts.Workers)
 	}
 	rt := &Runtime{
-		opts:     opts,
-		pool:     pool,
-		dataLen:  dataLen,
-		ynew:     make([]float64, dataLen),
-		counters: make([]execCounters, opts.Workers),
-		vals:     make([]Values, opts.Workers),
+		opts:    opts,
+		pool:    pool,
+		dataLen: dataLen,
+		ynew:    make([]float64, dataLen),
+		slots:   make([]workerSlot, opts.Workers),
 	}
 	if opts.AccessCheck {
 		rt.recs = make([]accessRecorder, opts.Workers)
@@ -595,22 +658,9 @@ func (rt *Runtime) RunContext(ctx context.Context, l *Loop, y []float64) (Report
 	}
 	rep.PreTime += selTime
 	rep.TotalTime += selTime
-	rep.setCounters(sumCounters(rt.counters))
 	rt.observeTuning(&rep)
 	rt.recordRun(rep.Executor, time.Since(selStart), nil)
 	return rep, nil
-}
-
-// sumCounters totals the per-worker dependency counters of one execution.
-func sumCounters(per []execCounters) execCounters {
-	var sum execCounters
-	for _, c := range per {
-		sum.trueDeps += c.trueDeps
-		sum.selfDeps += c.selfDeps
-		sum.antiOrNone += c.antiOrNone
-		sum.waitPolls += c.waitPolls
-	}
-	return sum
 }
 
 // setCounters copies the aggregated dependency counters into the report.
@@ -702,16 +752,22 @@ func (rt *Runtime) runPhased(ctx context.Context, l *Loop, y []float64, rep Repo
 // position of the transformed loop: it maps the position through the
 // execution order, seeds ynew, runs the user body through the worker's
 // reusable Values, marks the written elements ready and accumulates the
-// worker's dependency counters — all through worker-indexed slots, so the
-// hot path stays allocation-free. Once the run is aborted, remaining
-// positions drain without executing their bodies; a failing body aborts the
-// run and leaves its elements unpublished (waiters are released through the
-// cancellable wait instead).
-func (rt *Runtime) execBody(l *Loop, y []float64, tab writerTable, ready readyWaiter, traceBase time.Time) func(worker, pos int) {
+// worker's dependency counters — all through the worker's own slot, so the
+// hot path stays allocation-free and free of false sharing. Once the run is
+// aborted, remaining positions drain without executing their bodies; a
+// failing body aborts the run and leaves its elements unpublished (waiters
+// are released through the cancellable wait instead).
+//
+// direct, when non-nil, is the anti-dependence-free wavefront plan the run
+// executes in place (see execBodyInPlace).
+func (rt *Runtime) execBody(l *Loop, y []float64, tab writerTable, ready readyWaiter, traceBase time.Time, direct *wavefrontPlan) func(worker, pos int) {
 	if rt.mc.nc > 0 {
 		// A RunMulti block is armed: every executor transparently runs the
 		// multi-RHS body against the block buffers instead (see multi.go).
-		return rt.execBodyMulti(l, tab, ready, traceBase)
+		return rt.execBodyMulti(l, tab, ready, traceBase, direct)
+	}
+	if direct != nil {
+		return rt.execBodyInPlace(l, y, traceBase, direct)
 	}
 	order := rt.opts.Order
 	ab := &rt.ab
@@ -734,15 +790,16 @@ func (rt *Runtime) execBody(l *Loop, y []float64, tab writerTable, ready readyWa
 		for _, e := range writes {
 			rt.ynew[e] = y[e]
 		}
-		v := &rt.vals[worker]
+		slot := &rt.slots[worker]
+		v := &slot.vals
 		v.reset(tab, ready, y, rt.ynew, i, rt.opts.WaitStrategy)
 		v.cancel = &ab.triggered
-		rt.armAccessCheck(v, l, worker, i, writes)
+		v.rec = rt.armAccessCheck(l, worker, i, writes, tab)
 		if err := l.run(i, v); err != nil {
 			ab.abort(err)
 			return
 		}
-		if err := v.accessViolation(); err != nil {
+		if err := v.rec.err(); err != nil {
 			// An undeclared access aborts like a body error: the iteration's
 			// elements stay unpublished and the first violation wins.
 			ab.abort(err)
@@ -751,22 +808,66 @@ func (rt *Runtime) execBody(l *Loop, y []float64, tab writerTable, ready readyWa
 		for _, e := range writes {
 			ready.Set(e)
 		}
-		c := &rt.counters[worker]
+		c := &slot.counters
 		c.trueDeps += int64(v.truedeps)
 		c.selfDeps += int64(v.selfdeps)
 		c.antiOrNone += int64(v.antiOrNone)
 		c.waitPolls += int64(v.waits)
 		if rt.lastTrace != nil {
-			rt.lastTrace.Iterations[pos] = IterTrace{
-				Iteration: i,
-				Position:  pos,
-				Worker:    worker,
-				Start:     start,
-				End:       time.Since(traceBase),
-				WaitPolls: v.waits,
-				TrueDeps:  v.truedeps,
-			}
+			rt.traceIter(traceBase, start, pos, i, worker, v.waits, v.truedeps)
 		}
+	}
+}
+
+// execBodyInPlace is execBody for a wavefront plan without anti-dependences:
+// the body reads and writes y itself through the aliasing RunSequential uses
+// (old and new are both y; seqTable classifies every read as the reader's
+// own, so Load returns the current value without waiting). Level order makes
+// that value the sequential one. There is no S2 seed, nothing to publish
+// (levels need no ready flags) and no per-worker counting — the report takes
+// the plan's inspected counts. The plan's writer index only feeds the access
+// sanitizer's LoadOld check.
+func (rt *Runtime) execBodyInPlace(l *Loop, y []float64, traceBase time.Time, plan *wavefrontPlan) func(worker, pos int) {
+	ab := &rt.ab
+	tab := plan.table()
+	return func(worker, pos int) {
+		if ab.triggered.Load() {
+			return
+		}
+		var start time.Duration
+		if rt.lastTrace != nil {
+			start = time.Since(traceBase)
+		}
+		v := &rt.slots[worker].vals
+		v.reset(seqTable{}, seqReady{}, y, y, pos, rt.opts.WaitStrategy)
+		if rt.recs != nil {
+			v.rec = rt.armAccessCheck(l, worker, pos, l.Writes(pos), tab)
+		}
+		if err := l.run(pos, v); err != nil {
+			ab.abort(err)
+			return
+		}
+		if err := v.rec.err(); err != nil {
+			ab.abort(err)
+			return
+		}
+		if rt.lastTrace != nil {
+			rt.traceIter(traceBase, start, pos, pos, worker, 0, int(plan.iterReads[pos].trueDeps))
+		}
+	}
+}
+
+// traceIter records one executed position in the trace Options.CollectTrace
+// armed; callers test rt.lastTrace first.
+func (rt *Runtime) traceIter(traceBase time.Time, start time.Duration, pos, i, worker, waits, trueDeps int) {
+	rt.lastTrace.Iterations[pos] = IterTrace{
+		Iteration: i,
+		Position:  pos,
+		Worker:    worker,
+		Start:     start,
+		End:       time.Since(traceBase),
+		WaitPolls: waits,
+		TrueDeps:  trueDeps,
 	}
 }
 
@@ -787,10 +888,8 @@ func (rt *Runtime) Execute(l *Loop, y []float64) (execCounters, error) {
 	rt.ab.arm(rt.wakeWaiters())
 
 	traceBase := rt.armTrace(l)
-	for i := range rt.counters {
-		rt.counters[i] = execCounters{}
-	}
-	body := rt.execBody(l, y, tab, ready, traceBase)
+	rt.resetCounters()
+	body := rt.execBody(l, y, tab, ready, traceBase, nil)
 
 	if rt.opts.Policy == sched.Dynamic {
 		rt.pool.RunDynamic(l.N, rt.opts.Chunk, body)
@@ -798,7 +897,7 @@ func (rt *Runtime) Execute(l *Loop, y []float64) (execCounters, error) {
 		rt.pool.RunSchedule(rt.schedule(l.N), body)
 	}
 
-	return sumCounters(rt.counters), rt.ab.firstErr()
+	return rt.sumCounters(), rt.ab.firstErr()
 }
 
 // Postprocess is the parallel postprocessing phase (Figure 3, right, in the

@@ -168,8 +168,7 @@ func (rt *Runtime) RunLinear(l *Loop, y []float64, sub LinearSubscript) (Report,
 	ab.arm(rt.wakeWaiters())
 
 	execStart := time.Now()
-	perWorker := make([]execCounters, rt.opts.Workers)
-	vals := make([]Values, rt.opts.Workers)
+	rt.resetCounters()
 	body := func(worker, pos int) {
 		if ab.triggered.Load() {
 			return
@@ -180,22 +179,23 @@ func (rt *Runtime) RunLinear(l *Loop, y []float64, sub LinearSubscript) (Report,
 		for _, e := range writes {
 			rt.ynew[e] = y[e]
 		}
-		v := &vals[worker]
+		slot := &rt.slots[worker]
+		v := &slot.vals
 		v.reset(tab, ready, y, rt.ynew, i, rt.opts.WaitStrategy)
 		v.cancel = &ab.triggered
-		rt.armAccessCheck(v, l, worker, i, writes)
+		v.rec = rt.armAccessCheck(l, worker, i, writes, tab)
 		if err := l.run(i, v); err != nil {
 			ab.abort(err)
 			return
 		}
-		if err := v.accessViolation(); err != nil {
+		if err := v.rec.err(); err != nil {
 			ab.abort(err)
 			return
 		}
 		for _, e := range writes {
 			ready.Set(e)
 		}
-		c := &perWorker[worker]
+		c := &slot.counters
 		c.trueDeps += int64(v.truedeps)
 		c.selfDeps += int64(v.selfdeps)
 		c.antiOrNone += int64(v.antiOrNone)
@@ -207,12 +207,7 @@ func (rt *Runtime) RunLinear(l *Loop, y []float64, sub LinearSubscript) (Report,
 		rt.pool.RunSchedule(rt.schedule(l.N), body)
 	}
 	rep.ExecTime = time.Since(execStart)
-	for _, c := range perWorker {
-		rep.TrueDeps += c.trueDeps
-		rep.SelfDeps += c.selfDeps
-		rep.AntiOrNone += c.antiOrNone
-		rep.WaitPolls += c.waitPolls
-	}
+	rep.setCounters(rt.sumCounters())
 
 	postStart := time.Now()
 	aborted := ab.triggered.Load()
@@ -262,23 +257,23 @@ func (rt *Runtime) RunDoall(l *Loop, y []float64) (Report, error) {
 	ab := &rt.ab
 	ab.arm(nil)
 	start := time.Now()
-	v := make([]Values, rt.opts.Workers)
 	body := func(worker, pos int) {
 		if ab.triggered.Load() {
 			return
 		}
-		vv := &v[worker]
-		vv.reset(seqTable{}, seqReady{}, y, y, pos, rt.opts.WaitStrategy)
+		v := &rt.slots[worker].vals
+		v.reset(seqTable{}, seqReady{}, y, y, pos, rt.opts.WaitStrategy)
 		if rt.recs != nil {
 			// The doall baseline never consults Writes; fetch it only when
-			// the sanitizer needs the declared pattern.
-			rt.armAccessCheck(vv, l, worker, pos, l.Writes(pos))
+			// the sanitizer needs the declared pattern. It has no writer
+			// index, so LoadOld goes unchecked.
+			v.rec = rt.armAccessCheck(l, worker, pos, l.Writes(pos), nil)
 		}
-		if err := l.run(pos, vv); err != nil {
+		if err := l.run(pos, v); err != nil {
 			ab.abort(err)
 			return
 		}
-		if err := vv.accessViolation(); err != nil {
+		if err := v.rec.err(); err != nil {
 			ab.abort(err)
 		}
 	}
@@ -351,8 +346,7 @@ func (rt *Runtime) RunOracle(l *Loop, y []float64, preds [][]int32) (Report, err
 		done.WakeAll()
 	})
 
-	perWorker := make([]execCounters, rt.opts.Workers)
-	vals := make([]Values, rt.opts.Workers)
+	rt.resetCounters()
 	body := func(worker, pos int) {
 		if ab.triggered.Load() {
 			return
@@ -368,15 +362,16 @@ func (rt *Runtime) RunOracle(l *Loop, y []float64, preds [][]int32) (Report, err
 		for _, e := range writes {
 			rt.ynew[e] = y[e]
 		}
-		v := &vals[worker]
+		slot := &rt.slots[worker]
+		v := &slot.vals
 		v.reset(tab, ready, y, rt.ynew, i, rt.opts.WaitStrategy)
 		v.cancel = &ab.triggered
-		rt.armAccessCheck(v, l, worker, i, writes)
+		v.rec = rt.armAccessCheck(l, worker, i, writes, tab)
 		if err := l.run(i, v); err != nil {
 			ab.abort(err)
 			return
 		}
-		if err := v.accessViolation(); err != nil {
+		if err := v.rec.err(); err != nil {
 			ab.abort(err)
 			return
 		}
@@ -384,7 +379,7 @@ func (rt *Runtime) RunOracle(l *Loop, y []float64, preds [][]int32) (Report, err
 			ready.Set(e)
 		}
 		done.Set(i)
-		c := &perWorker[worker]
+		c := &slot.counters
 		c.trueDeps += int64(v.truedeps)
 		c.waitPolls += int64(v.waits)
 	}
@@ -393,10 +388,8 @@ func (rt *Runtime) RunOracle(l *Loop, y []float64, preds [][]int32) (Report, err
 	} else {
 		rt.pool.RunSchedule(rt.schedule(l.N), body)
 	}
-	for _, c := range perWorker {
-		rep.TrueDeps += c.trueDeps
-		rep.WaitPolls += c.waitPolls
-	}
+	sum := rt.sumCounters()
+	rep.TrueDeps, rep.WaitPolls = sum.trueDeps, sum.waitPolls
 	rep.ExecTime = time.Since(start)
 
 	postStart := time.Now()

@@ -373,6 +373,7 @@ func (s *Solver) SolveMultiContext(ctx context.Context, B, Y [][]float64) ([][]f
 		rep.Executor = blockRep.Executor
 		rep.Levels = blockRep.Levels
 		rep.InspectCached = blockRep.InspectCached
+		rep.InPlace = blockRep.InPlace
 		rep.AutoCosts = blockRep.AutoCosts
 		rep.PredictedDoacrossNs = blockRep.PredictedDoacrossNs
 		rep.PredictedWavefrontNs = blockRep.PredictedWavefrontNs
