@@ -111,8 +111,10 @@
 // in-place run's Report.TrueDeps, SelfDeps and AntiOrNone are the plan's
 // counts of declared reads, equal to the per-Load counts whenever the body
 // Loads exactly its declared reads once each. RepairPlans keeps the count
-// current; an edit that gives a previously unwritten element a writer makes
-// the plan run renamed until it is next rebuilt cold.
+// current. An edit that gives a previously unwritten element a writer makes
+// the plan run renamed until it is next rebuilt cold; so can an edit that
+// retires an element an earlier iteration reads, which is only possible in a
+// plan that already runs renamed.
 //
 // # The doacross contract, and checking it
 //

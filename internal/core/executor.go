@@ -173,7 +173,7 @@ func (rt *Runtime) executorFor(l *Loop, rep *Report, nrhs int) (executor, error)
 // counts as preprocessing; the in-place decision is the plan's (see
 // wavefrontPlan.inPlace).
 func (rt *Runtime) wavefrontExecutorFor(kind ExecutorKind, plan *wavefrontPlan, cached bool) executor {
-	inPlace := plan.inPlace() && !rt.buffered
+	inPlace := plan.inPlace()
 	if kind == ExecWavefrontDynamic {
 		return dynamicWavefrontExecutor{rt: rt, plan: plan, cached: cached, inPlace: inPlace}
 	}
@@ -305,6 +305,15 @@ type wavefrontPlan struct {
 	// of that element that precede the writer need not be in the edit set
 	// (their predecessors did not change). Such a plan runs renamed until a
 	// cold inspection rebuilds it.
+	//
+	// The reverse edit needs no flag. Retiring an element (EditSet.
+	// RetiredElems) can only turn an earlier reader's anti-dependence into a
+	// plain read, and that reader need not be listed either, so its stale
+	// anti class keeps reads.anti above zero: the plan keeps running renamed
+	// until the reader is next repaired or the plan is rebuilt cold. That
+	// errs only towards renaming, and a renamed run counts its dependencies
+	// per Load, so the stale class never reaches a report. A plan without
+	// anti-dependences has no such reader and stays exact.
 	antiUnknown bool
 }
 

@@ -109,11 +109,12 @@ func copyColumns(ys [][]float64) [][]float64 {
 // TestPropertyInPlaceEquivalentToBuffered is the acceptance property of
 // in-place execution: on random-DAG loops with and without
 // anti-dependences, under the static and the dynamic wavefront, scalar and
-// RunMulti, a runtime free to run in place and one forced onto the renamed
-// path produce bit-identical results equal to the sequential loop, the plan
-// runs in place exactly when it has no anti-dependence, and the in-place
-// run's plan-derived counters equal the renamed run's per-Load counts (the
-// scalar body Loads each declared read once).
+// RunMulti, the wavefront runtime and a doacross runtime (which always runs
+// renamed through ynew) produce bit-identical results equal to the sequential
+// loop, the wavefront plan runs in place exactly when it has no
+// anti-dependence, and the wavefront run's counters — plan-derived when in
+// place — equal the doacross's per-Load counts (the scalar body Loads each
+// declared read once).
 func TestPropertyInPlaceEquivalentToBuffered(t *testing.T) {
 	f := func(seed int64, workerBits, execBit, antiBit, policyBits, nrhsBits uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -133,9 +134,12 @@ func TestPropertyInPlaceEquivalentToBuffered(t *testing.T) {
 		}
 		direct := NewRuntime(l.Data, opts)
 		defer direct.Close()
+		// Up to four doacross workers may outnumber the cores, so their
+		// waits yield rather than spin.
+		opts.Executor = ExecDoacross
+		opts.WaitStrategy = flags.WaitSpinYield
 		renamed := NewRuntime(l.Data, opts)
 		defer renamed.Close()
-		renamed.buffered = true
 
 		seq := append([]float64(nil), y...)
 		mustRunSequential(t, l, seq)
@@ -466,11 +470,15 @@ func TestInPlaceAccessCheck(t *testing.T) {
 	}
 }
 
-// TestRepairWriteMoveDisablesInPlace covers the one edit RepairPlans cannot
-// re-classify exactly: an element gains its first writer, and an earlier
-// reader of it — whose predecessors did not change, so the edit set need not
-// list it — now has an anti-dependence. The repaired plan must run renamed,
-// like a cold rebuild of the edited pattern, and match the sequential loop.
+// TestRepairWriteMoveDisablesInPlace covers the edits RepairPlans cannot
+// re-classify exactly, because a reader whose predecessors did not change
+// need not be in the edit set. First, an element gains its first writer, and
+// an earlier reader of it now has an anti-dependence: the repaired plan must
+// run renamed, like a cold rebuild of the edited pattern, and match the
+// sequential loop. Second, an element is retired from a plan with an
+// anti-dependence, and its earlier reader's anti-dependence is gone: the
+// repaired plan stays renamed (a cold rebuild would run in place) and matches
+// the sequential loop, until InvalidatePlans forces that cold rebuild.
 func TestRepairWriteMoveDisablesInPlace(t *testing.T) {
 	target := 2 // iteration 2's write target; element 3 starts unwritten
 	l := &Loop{
@@ -530,6 +538,71 @@ func TestRepairWriteMoveDisablesInPlace(t *testing.T) {
 			}
 			if sparse.VecMaxDiff(seq, y) != 0 {
 				t.Fatalf("%v: repaired run %v, sequential %v", exec, y, seq)
+			}
+		}
+		rt.Close()
+	}
+
+	// Iteration 2 writes elements 2 and 3 and iteration 0 reads element 3
+	// (an anti-dependence); the edit drops element 3 from iteration 2's
+	// writes, leaving iteration 0 a plain read that is not in the edit set.
+	wide := true
+	retiring := &Loop{
+		N: 3, Data: 4,
+		Writes: func(i int) []int {
+			if i == 2 && wide {
+				return []int{2, 3}
+			}
+			return []int{i}
+		},
+		Reads: func(i int) []int {
+			if i == 0 {
+				return []int{3}
+			}
+			return nil
+		},
+		Body: func(i int, v *Values) {
+			switch i {
+			case 0:
+				v.Store(0, v.Load(3)+1)
+			case 2:
+				v.Store(2, 100)
+				if wide {
+					v.Store(3, 200)
+				}
+			default:
+				v.Store(i, 10)
+			}
+		},
+	}
+	for _, exec := range []ExecutorKind{ExecWavefront, ExecWavefrontDynamic} {
+		rt := NewRuntime(4, Options{Workers: 3, Executor: exec})
+		wide = true
+		rep, err := rt.Run(retiring, []float64{0, 0, 0, 7})
+		if err != nil || rep.InPlace {
+			t.Fatalf("%v: initial run with an anti-dependence in place %v, %v", exec, rep.InPlace, err)
+		}
+		wide = false
+		rr, err := rt.RepairPlans(retiring, EditSet{Iters: []int{2}, RetiredElems: []int{3}})
+		if err != nil || !rr.Repaired {
+			t.Fatalf("%v: repair %+v, %v", exec, rr, err)
+		}
+		for run := 0; run < 4; run++ {
+			if run == 2 {
+				rt.InvalidatePlans()
+			}
+			y := []float64{0, 0, 0, 7}
+			seq := append([]float64(nil), y...)
+			mustRunSequential(t, retiring, seq)
+			rep, err := rt.Run(retiring, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := run >= 2; rep.InPlace != want {
+				t.Fatalf("%v run %d: in place %v, want %v (cold rebuild from run 2)", exec, run, rep.InPlace, want)
+			}
+			if sparse.VecMaxDiff(seq, y) != 0 {
+				t.Fatalf("%v run %d: %v, sequential %v", exec, run, y, seq)
 			}
 		}
 		rt.Close()

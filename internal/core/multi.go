@@ -384,7 +384,7 @@ func (rt *Runtime) scatterMulti(l *Loop, ys [][]float64, src []float64) {
 // it transparently through execBody when a block is armed, so all of them —
 // doacross, both wavefronts, and whatever Auto picks — run the multi path
 // with their own scheduling and barrier structure unchanged. With direct set
-// the block runs in place on the old block, as execBodyInPlace runs y: no
+// the block runs in place on the old block, as execBody runs y in place: no
 // row seed, no classification, no publication and no counting.
 func (rt *Runtime) execBodyMulti(l *Loop, tab writerTable, ready readyWaiter, traceBase time.Time, direct *wavefrontPlan) func(worker, pos int) {
 	order := rt.opts.Order

@@ -149,7 +149,8 @@ func (rt *Runtime) RepairPlans(l *Loop, edits EditSet) (RepairReport, error) {
 	// gains its first writer can turn reads by earlier iterations into
 	// anti-dependences without changing their predecessors, so those readers
 	// need not be listed: the plan's anti-dependence count can no longer be
-	// trusted to be complete (see wavefrontPlan.antiUnknown).
+	// trusted to be complete (see wavefrontPlan.antiUnknown, which also
+	// covers the reverse edit, a retired element).
 	for _, ws := range writes {
 		for _, e := range ws {
 			if plan.writer[e] < 0 {

@@ -265,11 +265,6 @@ type Runtime struct {
 	mold []float64
 	mnew []float64
 	mc   multiRun
-
-	// buffered forces the wavefront executors onto the renamed (ynew) path
-	// even for plans that could run in place; tests set it to compare the
-	// two paths on one plan.
-	buffered bool
 }
 
 // cacheLine is the coherence granule the per-worker slots are padded to.
@@ -546,7 +541,9 @@ func (rt *Runtime) wakeWaiters() func() {
 // starts a watcher goroutine that aborts the run the moment ctx is done. The
 // returned stop function must be called (exactly once) after the run's
 // workers have drained; it joins the watcher so the abort state can be
-// safely reused by the next run.
+// safely reused by the next run. A ctx cancelled before stop fails the run
+// even when the workers finished first, so the outcome of a run cancelled
+// while it executes does not depend on when the watcher was scheduled.
 func (rt *Runtime) watchContext(ctx context.Context) (stop func()) {
 	rt.ab.arm(rt.wakeWaiters())
 	done := ctx.Done()
@@ -559,9 +556,12 @@ func (rt *Runtime) watchContext(ctx context.Context) (stop func()) {
 		defer close(exited)
 		select {
 		case <-done:
-			rt.ab.abort(ctx.Err())
 		case <-quit:
+			if ctx.Err() == nil {
+				return
+			}
 		}
+		rt.ab.abort(ctx.Err())
 	}()
 	return func() {
 		close(quit)
@@ -759,18 +759,27 @@ func (rt *Runtime) runPhased(ctx context.Context, l *Loop, y []float64, rep Repo
 // are released through the cancellable wait instead).
 //
 // direct, when non-nil, is the anti-dependence-free wavefront plan the run
-// executes in place (see execBodyInPlace).
+// executes in place: the body reads and writes y itself through the aliasing
+// RunSequential uses (old and new are both y; seqTable classifies every read
+// as the reader's own, so Load returns the current value without waiting).
+// Level order makes that value the sequential one. There is no S2 seed,
+// nothing to publish (levels need no ready flags) and no per-worker counting
+// — the report takes the plan's inspected counts. tab then only feeds the
+// access sanitizer's LoadOld check.
 func (rt *Runtime) execBody(l *Loop, y []float64, tab writerTable, ready readyWaiter, traceBase time.Time, direct *wavefrontPlan) func(worker, pos int) {
 	if rt.mc.nc > 0 {
 		// A RunMulti block is armed: every executor transparently runs the
 		// multi-RHS body against the block buffers instead (see multi.go).
 		return rt.execBodyMulti(l, tab, ready, traceBase, direct)
 	}
-	if direct != nil {
-		return rt.execBodyInPlace(l, y, traceBase, direct)
-	}
 	order := rt.opts.Order
 	ab := &rt.ab
+	ynew := rt.ynew
+	vtab, vready := tab, ready
+	if direct != nil {
+		ynew = y
+		vtab, vready = seqTable{}, seqReady{}
+	}
 	return func(worker, pos int) {
 		if ab.triggered.Load() {
 			return
@@ -783,16 +792,22 @@ func (rt *Runtime) execBody(l *Loop, y []float64, tab writerTable, ready readyWa
 		if rt.lastTrace != nil {
 			start = time.Since(traceBase)
 		}
-		writes := l.Writes(i)
-		// Statement S2 of the paper's Figure 5: seed ynew(a(i)) with the old
-		// value so intra-iteration (self-dependence) reads observe the value
-		// the sequential loop would have seen before this iteration's write.
-		for _, e := range writes {
-			rt.ynew[e] = y[e]
+		var writes []int
+		if direct == nil || rt.recs != nil {
+			writes = l.Writes(i)
+		}
+		if direct == nil {
+			// Statement S2 of the paper's Figure 5: seed ynew(a(i)) with the
+			// old value so intra-iteration (self-dependence) reads observe the
+			// value the sequential loop would have seen before this
+			// iteration's write.
+			for _, e := range writes {
+				ynew[e] = y[e]
+			}
 		}
 		slot := &rt.slots[worker]
 		v := &slot.vals
-		v.reset(tab, ready, y, rt.ynew, i, rt.opts.WaitStrategy)
+		v.reset(vtab, vready, y, ynew, i, rt.opts.WaitStrategy)
 		v.cancel = &ab.triggered
 		v.rec = rt.armAccessCheck(l, worker, i, writes, tab)
 		if err := l.run(i, v); err != nil {
@@ -805,54 +820,21 @@ func (rt *Runtime) execBody(l *Loop, y []float64, tab writerTable, ready readyWa
 			ab.abort(err)
 			return
 		}
-		for _, e := range writes {
-			ready.Set(e)
-		}
-		c := &slot.counters
-		c.trueDeps += int64(v.truedeps)
-		c.selfDeps += int64(v.selfdeps)
-		c.antiOrNone += int64(v.antiOrNone)
-		c.waitPolls += int64(v.waits)
-		if rt.lastTrace != nil {
-			rt.traceIter(traceBase, start, pos, i, worker, v.waits, v.truedeps)
-		}
-	}
-}
-
-// execBodyInPlace is execBody for a wavefront plan without anti-dependences:
-// the body reads and writes y itself through the aliasing RunSequential uses
-// (old and new are both y; seqTable classifies every read as the reader's
-// own, so Load returns the current value without waiting). Level order makes
-// that value the sequential one. There is no S2 seed, nothing to publish
-// (levels need no ready flags) and no per-worker counting — the report takes
-// the plan's inspected counts. The plan's writer index only feeds the access
-// sanitizer's LoadOld check.
-func (rt *Runtime) execBodyInPlace(l *Loop, y []float64, traceBase time.Time, plan *wavefrontPlan) func(worker, pos int) {
-	ab := &rt.ab
-	tab := plan.table()
-	return func(worker, pos int) {
-		if ab.triggered.Load() {
-			return
-		}
-		var start time.Duration
-		if rt.lastTrace != nil {
-			start = time.Since(traceBase)
-		}
-		v := &rt.slots[worker].vals
-		v.reset(seqTable{}, seqReady{}, y, y, pos, rt.opts.WaitStrategy)
-		if rt.recs != nil {
-			v.rec = rt.armAccessCheck(l, worker, pos, l.Writes(pos), tab)
-		}
-		if err := l.run(pos, v); err != nil {
-			ab.abort(err)
-			return
-		}
-		if err := v.rec.err(); err != nil {
-			ab.abort(err)
-			return
+		trueDeps := v.truedeps
+		if direct != nil {
+			trueDeps = int(direct.iterReads[i].trueDeps)
+		} else {
+			for _, e := range writes {
+				ready.Set(e)
+			}
+			c := &slot.counters
+			c.trueDeps += int64(v.truedeps)
+			c.selfDeps += int64(v.selfdeps)
+			c.antiOrNone += int64(v.antiOrNone)
+			c.waitPolls += int64(v.waits)
 		}
 		if rt.lastTrace != nil {
-			rt.traceIter(traceBase, start, pos, pos, worker, 0, int(plan.iterReads[pos].trueDeps))
+			rt.traceIter(traceBase, start, pos, i, worker, v.waits, trueDeps)
 		}
 	}
 }

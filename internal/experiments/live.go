@@ -58,10 +58,7 @@ func liveSolverOptions(workers, chunk int) []doacross.Option {
 }
 
 // RunLiveTestLoop measures the live preprocessed doacross on the Figure 4
-// test loop configuration. repeat > 1 reports the best of several runs. The
-// arms are interleaved — each repetition runs the sequential loop and then
-// the doacross — so a burst of host load lands on both alike instead of on
-// whichever arm happened to be timing.
+// test loop configuration. repeat > 1 reports the best of several runs.
 func RunLiveTestLoop(tc testloop.Config, workers, repeat int) (LiveResult, error) {
 	if err := tc.Validate(); err != nil {
 		return LiveResult{}, err
@@ -69,33 +66,34 @@ func RunLiveTestLoop(tc testloop.Config, workers, repeat int) (LiveResult, error
 	l := tc.Loop()
 	base := tc.InitialData()
 
+	seqData := append([]float64(nil), base...)
+	var seqErr error
+	seqSample := trace.Measure(repeat, func() {
+		copy(seqData, base)
+		if err := doacross.RunSequential(l, seqData); err != nil {
+			seqErr = err
+		}
+	})
+	if seqErr != nil {
+		return LiveResult{}, seqErr
+	}
+
 	rt, err := doacross.New(l.Data, liveSolverOptions(workers, 64)...)
 	if err != nil {
 		return LiveResult{}, err
 	}
 	defer rt.Close()
 	ctx := context.Background()
-	seqData := append([]float64(nil), base...)
 	parData := append([]float64(nil), base...)
-	var seqSample, parSample trace.Sample
-	for r := 0; r < max(repeat, 1); r++ {
-		var runErr error
-		seq := trace.Measure(1, func() {
-			copy(seqData, base)
-			runErr = doacross.RunSequential(l, seqData)
-		})
-		if runErr != nil {
-			return LiveResult{}, runErr
+	var runErr error
+	parSample := trace.Measure(repeat, func() {
+		copy(parData, base)
+		if _, err := rt.Run(ctx, l, parData); err != nil {
+			runErr = err
 		}
-		par := trace.Measure(1, func() {
-			copy(parData, base)
-			_, runErr = rt.Run(ctx, l, parData)
-		})
-		if runErr != nil {
-			return LiveResult{}, runErr
-		}
-		seqSample.Durations = append(seqSample.Durations, seq.Durations...)
-		parSample.Durations = append(parSample.Durations, par.Durations...)
+	})
+	if runErr != nil {
+		return LiveResult{}, runErr
 	}
 
 	name := fmt.Sprintf("figure4 N=%d M=%d L=%d", tc.N, tc.M, tc.L)

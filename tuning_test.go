@@ -8,6 +8,7 @@ package doacross_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -225,11 +226,17 @@ func TestOnlineTuningConvergesOnChain(t *testing.T) {
 // own ground truth, with the arms interleaved: every round runs each fixed
 // executor once and then the tuned runtime once, so a burst of host noise
 // lands on all arms alike. The assertions are relaxed: the tuned runtime must
-// explore beyond its deliberately mispriced seed, and the median time of the
-// executor it settles on, over the tuned runtime's own runs of it, must be
-// within 1.5x of the fastest fixed executor's median (a tuner stuck on a
-// catastrophic pick fails; close seconds among near-ties pass). Both sides
-// are medians of executor-phase times from the same rounds.
+// explore beyond its deliberately mispriced seed, and the executor it settles
+// on must have a median within 1.5x of the fastest executor's median (a tuner
+// stuck on a catastrophic pick fails; close seconds among near-ties pass).
+// Both medians are of the fixed runtimes' executor-phase times over the same
+// rounds, so the ground truth does not depend on the tuner under test.
+//
+// The tuner decides from noisy measurements, so a gap between two arms
+// that the host's noise covers says nothing about it: when the settled arm's
+// excess over the fastest median is no larger than the spread (interquartile
+// range) of the two arms' own runs, the test skips instead of failing,
+// logging both numbers.
 func TestOnlineTuningSPE2Trisolve(t *testing.T) {
 	const workers, runs = 2, 40
 	lf, _, err := stencil.LowerFactor(stencil.SPE2, 1)
@@ -277,7 +284,6 @@ func TestOnlineTuningSPE2Trisolve(t *testing.T) {
 		return rep
 	}
 	fixedNs := make([][]float64, len(kinds))
-	tunedNs := map[string][]float64{}
 	lastGreedy := ""
 	for r := 0; r < runs; r++ {
 		for k, f := range fixed {
@@ -287,7 +293,6 @@ func TestOnlineTuningSPE2Trisolve(t *testing.T) {
 		if r == 0 && rep.Executor != "doacross" {
 			t.Fatalf("run 0 picked %q; the seed coefficients should pin it to doacross", rep.Executor)
 		}
-		tunedNs[rep.Executor] = append(tunedNs[rep.Executor], float64(rep.ExecTime))
 		if !rep.Explored {
 			lastGreedy = rep.Executor
 		}
@@ -308,9 +313,8 @@ func TestOnlineTuningSPE2Trisolve(t *testing.T) {
 		t.Fatalf("tuner tracks %d plans, want 1", len(snap.Plans))
 	}
 	p := snap.Plans[0]
-	arms := []doacross.TuningArm{p.Doacross, p.Wavefront, p.WavefrontDynamic}
 	observedArms := 0
-	for _, arm := range arms {
+	for _, arm := range []doacross.TuningArm{p.Doacross, p.Wavefront, p.WavefrontDynamic} {
 		if arm.Observations > 0 {
 			observedArms++
 		}
@@ -325,35 +329,45 @@ func TestOnlineTuningSPE2Trisolve(t *testing.T) {
 			settled = k
 		}
 	}
-	if settled < 0 || len(tunedNs[lastGreedy]) == 0 {
-		t.Fatalf("settled executor %q was never run: %+v", lastGreedy, p)
+	if settled < 0 {
+		t.Fatalf("tuned runtime never made a greedy pick: %+v", p)
 	}
+	gap := truth[settled] - truth[best]
+	noise := math.Max(iqrOf(fixedNs[settled]), iqrOf(fixedNs[best]))
+	t.Logf("settled on %q (median %v), fastest %v (median %v): gap %v, noise (largest interquartile range) %v",
+		lastGreedy, time.Duration(truth[settled]), kinds[best], time.Duration(truth[best]),
+		time.Duration(gap), time.Duration(noise))
 	if limit := 1.5 * truth[best]; truth[settled] > limit {
-		// The tuner decides from its moving averages. When its average of the
-		// fastest arm sits above that arm's median over the same runs by more
-		// than the margin, host noise (a preempted run's outlier) outweighed
-		// the gap being tested, and the pick says nothing about the tuner.
-		ema, med := arms[best].EMANs, medianOf(tunedNs[kinds[best].String()])
-		if med > 0 && ema > 1.5*med {
-			t.Skipf("noise above the margin: the tuner's average of %v is %v against a median of %v over its own runs (margin 1.5x); it settled on %q, median %v against %v",
-				kinds[best], time.Duration(ema), time.Duration(med), lastGreedy, time.Duration(truth[settled]), time.Duration(truth[best]))
+		if gap <= noise {
+			t.Skipf("noise above the margin: the gap of %v between %q and %v is within the arms' spread of %v",
+				time.Duration(gap), lastGreedy, kinds[best], time.Duration(noise))
 		}
 		t.Errorf("tuner settled on %q with median %v, more than 1.5x the fastest executor's (%v) median %v",
 			lastGreedy, time.Duration(truth[settled]), kinds[best], time.Duration(truth[best]))
 	}
 }
 
-// medianOf returns the median of xs (the mean of the middle two for an even
-// count) without reordering xs.
-func medianOf(xs []float64) float64 {
+// quantileOf returns the q-quantile of xs (0 <= q <= 1, interpolating
+// between order statistics) without reordering xs; 0 for an empty xs.
+func quantileOf(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	m := len(s) / 2
-	if len(s)%2 == 0 {
-		return (s[m-1] + s[m]) / 2
+	pos := q * float64(len(s)-1)
+	lo := int(pos)
+	if lo+1 >= len(s) {
+		return s[lo]
 	}
-	return s[m]
+	return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
 }
+
+// medianOf returns the median of xs, 0 for an empty xs.
+func medianOf(xs []float64) float64 { return quantileOf(xs, 0.5) }
+
+// iqrOf returns the interquartile range of xs, 0 for an empty xs.
+func iqrOf(xs []float64) float64 { return quantileOf(xs, 0.75) - quantileOf(xs, 0.25) }
 
 // TestOnlineTuningRestampsPredictions is the regression test for the
 // pre-run-stamping bug: a tuned run's Report.Predicted*Ns (and TunedCosts)
